@@ -98,7 +98,8 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--cache-dir",
-        help="directory for the on-disk result cache (reruns skip finished jobs)",
+        help="directory for the on-disk result and trace cache (reruns skip "
+        "finished jobs and load their traces instead of generating them)",
     )
     parser.add_argument(
         "--backend",
@@ -548,11 +549,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="janitor prunes cache entries older than this (default: janitor off)",
     )
 
-    cache_parser = sub.add_parser("cache", help="inspect or prune the on-disk result cache")
+    cache_parser = sub.add_parser(
+        "cache", help="inspect or prune the on-disk result and trace cache"
+    )
     cache_sub = cache_parser.add_subparsers(dest="cache_command", required=True)
-    cache_stats = cache_sub.add_parser("stats", help="entry count, total bytes, age range")
+    cache_stats = cache_sub.add_parser(
+        "stats", help="result and trace entry counts and bytes, age range"
+    )
     cache_stats.add_argument("--cache-dir", required=True, help="result cache directory")
-    cache_prune = cache_sub.add_parser("prune", help="delete cached entries by age")
+    cache_prune = cache_sub.add_parser(
+        "prune", help="delete cached result and trace entries by age"
+    )
     cache_prune.add_argument("--cache-dir", required=True, help="result cache directory")
     cache_prune.add_argument(
         "--max-age-days",
@@ -1066,10 +1073,12 @@ def run_cache_command(args: argparse.Namespace, parser: argparse.ArgumentParser)
         log.result(f"cache directory : {stats['directory']}")
         log.result(f"entries         : {stats['entries']}")
         log.result(f"total bytes     : {stats['total_bytes']}")
+        log.result(f"trace entries   : {stats['trace_entries']}")
+        log.result(f"trace bytes     : {stats['trace_bytes']}")
         if versions:
             rendered = ", ".join(f"v{version}" for version in versions)
             log.result(f"format versions : {rendered} (this tool writes v{CACHE_FORMAT_VERSION})")
-        if stats["entries"]:
+        if stats["oldest_mtime"] is not None:
             age_s = time.time() - stats["oldest_mtime"]
             log.result(f"oldest entry    : {age_s / 86400.0:.2f} days old")
         return 0

@@ -7,12 +7,16 @@ that observation into throughput:
 * each cell becomes a hashable :class:`SimJob` that fully describes one
   simulation (workload, trace length, warmup, BTB construction, FDIP);
 * jobs run either inline (``workers=1``) or on a ``ProcessPoolExecutor``
-  (``workers>1``), with worker processes regenerating their traces locally
+  (``workers>1``), with worker processes resolving their traces locally
   from the deterministic workload specs — nothing heavyweight is pickled;
 * every finished job is memoized in-process and, when a ``cache_dir`` is
   given, persisted as JSON keyed by a content hash of the job config, so
   reruns and overlapping figures (fig09/fig10/fig11/table5 share most of
-  their grid) skip completed work entirely.
+  their grid) skip completed work entirely;
+* the same directory holds the generated traces: while an engine with a
+  ``cache_dir`` is active (:func:`use_engine`), the trace store loads each
+  trace from it instead of regenerating it, in the parent and in pool
+  workers alike (see :class:`ResultCache`).
 
 Results are bit-identical across worker counts and cache states: the engine
 always round-trips :class:`SimulationResult` through the same JSON payload,
@@ -30,10 +34,10 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterator, List, Mapping, Sequence
+from typing import Callable, Dict, Iterator, List, Mapping, Sequence
 
 from repro.common.config import ASIDMode, BTBStyle, default_machine_config
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, TraceFormatError
 from repro.common.stats import Stats
 from repro.obs import JsonlRecorder, get_recorder, use_recorder
 from repro.core.metrics import ScenarioResult, SimulationResult
@@ -41,6 +45,7 @@ from repro.core.simulator import FrontEndSimulator
 from repro.scenarios.spec import ScenarioSpec
 from repro.btb.btbx import BTBX
 from repro.btb.storage import make_btb_for_budget
+from repro.traces.binary_io import decode_trace, encode_trace
 from repro.traces.store import TraceStore, default_store
 from repro.traces.trace import Trace
 
@@ -386,53 +391,93 @@ def _payload_to_outcome(payload: Mapping[str, object]) -> JobOutcome:
     )
 
 
-# -- on-disk result cache ----------------------------------------------------
+# -- on-disk cache -------------------------------------------------------------
+
+#: File suffixes of the cache's two entry kinds: job payloads (JSON) and
+#: generated traces (the binary format of :mod:`repro.traces.binary_io`).
+_RESULT_SUFFIX = ".json"
+_TRACE_SUFFIX = ".btbx"
+
+
+def _entry_payload(raw: bytes) -> Dict[str, object] | None:
+    """The payload of a raw result entry, or None when it is malformed.
+
+    A well-formed entry is a JSON object whose ``payload`` is an object with
+    a ``result`` object; anything else that parses (``null``, a list, a
+    non-object ``result``) is as corrupt as bytes that do not.
+    """
+    try:
+        entry = json.loads(raw)
+    except ValueError:
+        return None
+    payload = entry.get("payload") if isinstance(entry, dict) else None
+    if not isinstance(payload, dict) or not isinstance(payload.get("result"), dict):
+        return None
+    return payload
+
+
+def _rehydrates(payload: Mapping[str, object]) -> bool:
+    """True when ``payload`` turns back into a :class:`JobOutcome`."""
+    try:
+        _payload_to_outcome(payload)
+    except (LookupError, TypeError, ValueError, AttributeError):
+        return False
+    return True
 
 
 class ResultCache:
-    """Content-addressed JSON store of finished job payloads.
+    """Content-addressed on-disk store of job payloads and generated traces.
 
-    One file per job, named by the job's config hash and sharded into
-    subdirectories by the hash's leading hex byte (``ab/<hash>.json``), so a
-    service-scale cache of tens of thousands of entries never piles every
-    file into one directory (directory scans stay cheap, and concurrent
-    writers spread their ``os.replace`` traffic across 256 directories).
-    Writes go through a temp file in the entry's shard plus
-    :func:`os.replace`, so concurrent processes sharing a cache directory
-    never observe partial entries.  Pre-sharding caches are still readable:
-    lookups fall back to the legacy flat path, and maintenance walks both
-    layouts.
+    Two entry kinds share one layout.  A job's payload is a JSON file named
+    by the job's config hash (``ab/<hash>.json``); a generated trace is a
+    binary trace file named by :func:`repro.workloads.suites.trace_cache_key`
+    (``cd/<key>.btbx``).  Entries are sharded into subdirectories by the
+    key's leading hex byte, so a service-scale cache of tens of thousands of
+    entries never piles every file into one directory (directory scans stay
+    cheap, and concurrent writers spread their ``os.replace`` traffic across
+    256 directories).  Writes go through a temp file in the entry's shard
+    plus :func:`os.replace`, so concurrent processes sharing a cache
+    directory never observe partial entries.  Pre-sharding result entries
+    are still readable: lookups fall back to the legacy flat path, and
+    maintenance walks both layouts.  An unreadable entry is a miss; a
+    malformed one is also reported through the reader's ``on_corrupt``.
     """
 
     def __init__(self, directory: str | os.PathLike) -> None:
         self.directory = os.fspath(directory)
         os.makedirs(self.directory, exist_ok=True)
 
-    def _shard_dir(self, config_hash: str) -> str:
-        return os.path.join(self.directory, config_hash[:2])
+    def _shard_dir(self, key: str) -> str:
+        return os.path.join(self.directory, key[:2])
 
-    def _path(self, config_hash: str) -> str:
-        return os.path.join(self._shard_dir(config_hash), f"{config_hash}.json")
+    def _path(self, key: str, suffix: str = _RESULT_SUFFIX) -> str:
+        return os.path.join(self._shard_dir(key), f"{key}{suffix}")
 
     def _legacy_path(self, config_hash: str) -> str:
         return os.path.join(self.directory, f"{config_hash}.json")
 
-    def get(self, job: "EngineJob") -> Dict[str, object] | None:
+    def get(
+        self, job: "EngineJob", on_corrupt: Callable[[str], None] | None = None
+    ) -> Dict[str, object] | None:
         """Load the payload of ``job`` or None on a miss/corrupt entry.
 
-        Any unreadable entry — missing, corrupt, permission-denied on a
-        shared cache directory — is a miss: the job simply re-simulates.
-        Entries written before sharding are found at the legacy flat path.
+        Any unreadable entry — missing, permission-denied on a shared cache
+        directory, unparseable or of the wrong shape — is a miss: the job
+        simply re-simulates and overwrites it.  ``on_corrupt`` is called with
+        the path of each entry that exists but is malformed.  Entries written
+        before sharding are found at the legacy flat path.
         """
         config_hash = job.config_hash()
         for path in (self._path(config_hash), self._legacy_path(config_hash)):
             try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    entry = json.load(handle)
-            except (OSError, json.JSONDecodeError):
+                with open(path, "rb") as handle:
+                    raw = handle.read()
+            except OSError:
                 continue
-            payload = entry.get("payload")
-            if not isinstance(payload, dict) or "result" not in payload:
+            payload = _entry_payload(raw)
+            if payload is None:
+                if on_corrupt is not None:
+                    on_corrupt(path)
                 continue
             return payload
         return None
@@ -440,20 +485,56 @@ class ResultCache:
     def put(self, job: "EngineJob", payload: Mapping[str, object]) -> None:
         """Persist the payload of ``job`` atomically (into its shard)."""
         entry = {"job": job.config_dict(), "payload": payload}
-        config_hash = job.config_hash()
-        shard = self._shard_dir(config_hash)
+        self._write(self._path(job.config_hash()), json.dumps(entry).encode("utf-8"))
+
+    def get_trace(
+        self,
+        key: str,
+        workload: str,
+        instructions: int,
+        on_corrupt: Callable[[str], None] | None = None,
+    ) -> Trace | None:
+        """Load the trace stored under ``key`` or None on a miss/corrupt entry.
+
+        An entry that does not decode, or holds a trace of another name or
+        length than ``workload`` at ``instructions``, is corrupt: it misses
+        and ``on_corrupt`` is called with its path.
+        """
+        path = self._path(key, _TRACE_SUFFIX)
+        try:
+            with open(path, "rb") as handle:
+                data = handle.read()
+        except OSError:
+            return None
+        try:
+            trace = decode_trace(data)
+        except TraceFormatError:
+            trace = None
+        if trace is None or trace.name != workload or len(trace) != instructions:
+            if on_corrupt is not None:
+                on_corrupt(path)
+            return None
+        return trace
+
+    def put_trace(self, key: str, trace: Trace) -> None:
+        """Persist ``trace`` under ``key`` atomically (into its shard)."""
+        self._write(self._path(key, _TRACE_SUFFIX), encode_trace(trace))
+
+    def _write(self, path: str, data: bytes) -> None:
+        shard = os.path.dirname(path)
         os.makedirs(shard, exist_ok=True)
         fd, tmp_path = tempfile.mkstemp(dir=shard, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(entry, handle)
-            os.replace(tmp_path, self._path(config_hash))
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
+            os.replace(tmp_path, path)
         except BaseException:
             with contextlib.suppress(OSError):
                 os.unlink(tmp_path)
             raise
 
     def __len__(self) -> int:
+        """Number of result entries (trace entries are not counted)."""
         return len(self._entry_paths())
 
     def _scan_dirs(self) -> List[str]:
@@ -472,7 +553,7 @@ class ResultCache:
                 dirs.append(path)
         return dirs
 
-    def _entry_paths(self) -> List[str]:
+    def _entry_paths(self, suffixes: tuple[str, ...] = (_RESULT_SUFFIX,)) -> List[str]:
         paths: List[str] = []
         for directory in self._scan_dirs():
             try:
@@ -480,49 +561,55 @@ class ResultCache:
             except OSError:
                 continue
             paths.extend(
-                os.path.join(directory, name) for name in names if name.endswith(".json")
+                os.path.join(directory, name) for name in names if name.endswith(suffixes)
             )
         return paths
 
     def stats(self) -> Dict[str, object]:
-        """Entry count, total bytes and age range of the cached payloads.
+        """Entry counts and bytes of each kind, and the age range of all entries.
 
-        Entries that vanish mid-scan (a concurrent prune or run) are simply
-        skipped, mirroring how :meth:`get` treats unreadable files.
+        ``entries``/``total_bytes`` cover job payloads and
+        ``trace_entries``/``trace_bytes`` the cached traces.  Entries that
+        vanish mid-scan (a concurrent prune or run) are simply skipped,
+        mirroring how :meth:`get` treats unreadable files.
         """
-        entries = 0
-        total_bytes = 0
+        counts = {_RESULT_SUFFIX: [0, 0], _TRACE_SUFFIX: [0, 0]}
         oldest: float | None = None
         newest: float | None = None
-        for path in self._entry_paths():
+        for path in self._entry_paths((_RESULT_SUFFIX, _TRACE_SUFFIX)):
             try:
                 info = os.stat(path)
             except OSError:
                 continue
-            entries += 1
-            total_bytes += info.st_size
+            tally = counts[os.path.splitext(path)[1]]
+            tally[0] += 1
+            tally[1] += info.st_size
             oldest = info.st_mtime if oldest is None else min(oldest, info.st_mtime)
             newest = info.st_mtime if newest is None else max(newest, info.st_mtime)
         return {
             "directory": self.directory,
-            "entries": entries,
-            "total_bytes": total_bytes,
+            "entries": counts[_RESULT_SUFFIX][0],
+            "total_bytes": counts[_RESULT_SUFFIX][1],
+            "trace_entries": counts[_TRACE_SUFFIX][0],
+            "trace_bytes": counts[_TRACE_SUFFIX][1],
             "oldest_mtime": oldest,
             "newest_mtime": newest,
         }
 
     def _entry_format_versions(self) -> Iterator[int]:
-        """Format version of each readable entry, lazily.
+        """Format version of each readable result entry, lazily.
 
         Every entry records the ``cache_format`` its job config was hashed
-        under; pre-versioning entries report as 0, unreadable ones are
-        skipped (like :meth:`get`).
+        under; pre-versioning entries report as 0, unreadable or malformed
+        ones are skipped (like :meth:`get`).
         """
         for path in self._entry_paths():
             try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    entry = json.load(handle)
-            except (OSError, json.JSONDecodeError):
+                with open(path, "rb") as handle:
+                    entry = json.loads(handle.read())
+            except (OSError, ValueError):
+                continue
+            if not isinstance(entry, dict):
                 continue
             job = entry.get("job")
             version = job.get("cache_format", 0) if isinstance(job, dict) else 0
@@ -555,15 +642,16 @@ class ResultCache:
     def prune(self, max_age_seconds: float | None = None) -> int:
         """Delete cached entries older than ``max_age_seconds`` (all when None).
 
-        Returns the number of entries removed.  Crash-orphaned ``.tmp`` files
-        are swept too, but only once they are comfortably older than any
-        in-flight write could be, so pruning a cache directory a concurrent
-        run is writing to never breaks that run's atomic replace.
+        Both kinds go: job payloads and traces.  Returns the number of
+        entries removed.  Crash-orphaned ``.tmp`` files are swept too, but
+        only once they are comfortably older than any in-flight write could
+        be, so pruning a cache directory a concurrent run is writing to never
+        breaks that run's atomic replace.
         """
         now = time.time()
         cutoff = None if max_age_seconds is None else now - max_age_seconds
         removed = 0
-        for path in self._entry_paths():
+        for path in self._entry_paths((_RESULT_SUFFIX, _TRACE_SUFFIX)):
             try:
                 if cutoff is not None and os.stat(path).st_mtime >= cutoff:
                     continue
@@ -593,7 +681,7 @@ class ResultCache:
             except OSError:
                 continue
             for name in names:
-                if name.endswith((".json", ".tmp")):
+                if name.endswith((_RESULT_SUFFIX, _TRACE_SUFFIX, ".tmp")):
                     with contextlib.suppress(OSError):
                         os.unlink(os.path.join(directory, name))
 
@@ -612,6 +700,8 @@ class EngineCounters:
     #: Stream instructions actually simulated (executed jobs only -- memo and
     #: disk hits re-use results without simulating, so they add nothing).
     instructions_simulated: int = 0
+    #: Malformed disk-cache entries met on lookup (each then re-simulated).
+    cache_corrupt: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -620,6 +710,7 @@ class EngineCounters:
             "memo_hits": self.memo_hits,
             "disk_hits": self.disk_hits,
             "instructions_simulated": self.instructions_simulated,
+            "cache_corrupt": self.cache_corrupt,
         }
 
 
@@ -724,13 +815,21 @@ class ExperimentEngine:
             return self._memo[config_hash]
         if self.cache is not None:
             with recorder.span("engine.cache_read", job=config_hash[:12]):
-                payload = self.cache.get(job)
+                payload = self.cache.get(job, on_corrupt=self._count_corrupt)
+                if payload is not None and not _rehydrates(payload):
+                    # Well-formed on disk but not a payload this engine wrote.
+                    self._count_corrupt(config_hash)
+                    payload = None
             if payload is not None:
                 self.counters.disk_hits += 1
                 recorder.count("engine.disk_hits")
                 self._memoize(config_hash, payload)
                 return payload
         return None
+
+    def _count_corrupt(self, entry: str) -> None:
+        self.counters.cache_corrupt += 1
+        get_recorder().count("engine.cache_corrupt")
 
     def record_executed(self, job: "EngineJob", payload: Dict[str, object]) -> None:
         """Absorb a payload executed outside :meth:`run_jobs` (service path).
@@ -773,7 +872,11 @@ class ExperimentEngine:
         record = bool(recorder.enabled)
         parent_id = recorder.current_span_id() if record else None
         submit_ts = time.time()
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+        with ProcessPoolExecutor(
+            max_workers=max_workers,
+            initializer=share_cache_with_worker,
+            initargs=(None if self.cache is None else self.cache.directory,),
+        ) as pool:
             results = pool.map(
                 _worker_execute, [job for _, job in misses], [record] * len(misses)
             )
@@ -845,6 +948,23 @@ def set_active_engine(engine: ExperimentEngine | None) -> None:
     """Install (or with None, reset) the process-wide active engine."""
     global _ACTIVE_ENGINE
     _ACTIVE_ENGINE = engine
+
+
+def active_cache() -> ResultCache | None:
+    """The active engine's on-disk cache; None without one (creates no engine).
+
+    The trace store reads and writes its trace tier here.
+    """
+    return None if _ACTIVE_ENGINE is None else _ACTIVE_ENGINE.cache
+
+
+def share_cache_with_worker(cache_dir: str | None) -> None:
+    """Pool initializer: make ``cache_dir`` the worker's active cache.
+
+    A worker then loads the traces its parent's engine has cached (and adds
+    the ones it generates), whatever the pool's start method.
+    """
+    set_active_engine(None if cache_dir is None else ExperimentEngine(cache_dir=cache_dir))
 
 
 def clear_active_memo() -> None:

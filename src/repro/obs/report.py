@@ -8,7 +8,12 @@ required spans are present:
 * **pool utilization** -- total worker ``engine.execute`` time divided by
   (workers x wall time of the enclosing ``engine.run_jobs`` spans);
 * **cache hit rates** -- memo/disk hit fractions from the engine counters
-  and hit/miss/eviction fractions from the trace store counters;
+  and hit/miss/eviction fractions from the trace store counters, with the
+  store's misses split into traces loaded from the disk tier
+  (``trace.load`` spans, ``trace.store.disk_hits``) and traces generated
+  and written to it (``trace.store.disk_writes``), plus the malformed
+  entries either cache met (``engine.cache_corrupt``,
+  ``trace.store.corrupt``);
 * **instructions/sec per driver** -- from ``driver.*`` spans carrying an
   ``instructions`` attribute (emitted by ``run-all``).
 """
@@ -86,6 +91,7 @@ def aggregate(events: List[Dict[str, Any]]) -> Dict[str, Any]:
             "memo_hits": memo,
             "disk_hits": disk,
             "executed": counters.get("engine.executed", 0),
+            "corrupt": counters.get("engine.cache_corrupt", 0),
             "hit_rate": round((memo + disk) / submitted, 4),
         }
     store_hits = counters.get("trace.store.hits", 0)
@@ -95,6 +101,9 @@ def aggregate(events: List[Dict[str, Any]]) -> Dict[str, Any]:
             "hits": store_hits,
             "misses": store_misses,
             "evictions": counters.get("trace.store.evictions", 0),
+            "disk_hits": counters.get("trace.store.disk_hits", 0),
+            "disk_writes": counters.get("trace.store.disk_writes", 0),
+            "corrupt": counters.get("trace.store.corrupt", 0),
             "hit_rate": round(store_hits / (store_hits + store_misses), 4),
         }
     if caches:
@@ -221,6 +230,7 @@ def format_report(report: Dict[str, Any]) -> str:
             f"engine cache: {engine['submitted']} submitted,"
             f" {engine['memo_hits']} memo + {engine['disk_hits']} disk hits,"
             f" {engine['executed']} executed (hit rate {engine['hit_rate']:.1%})"
+            + (f", {engine['corrupt']} corrupt entries" if engine["corrupt"] else "")
         )
     store = caches.get("trace_store")
     if store:
@@ -228,6 +238,11 @@ def format_report(report: Dict[str, Any]) -> str:
             f"trace store : {store['hits']} hits, {store['misses']} misses,"
             f" {store['evictions']} evictions (hit rate {store['hit_rate']:.1%})"
         )
+        if store["disk_hits"] or store["disk_writes"] or store["corrupt"]:
+            lines.append(
+                f"trace disk  : {store['disk_hits']} loaded, {store['disk_writes']} generated"
+                f" and written, {store['corrupt']} corrupt entries"
+            )
 
     service = report.get("service")
     if service:

@@ -44,7 +44,12 @@ from typing import Dict, List, Optional, Set
 
 from repro.common.config import BACKEND_ENV_VAR, resolve_backend
 from repro.common.errors import ConfigurationError
-from repro.experiments.engine import EngineJob, ExperimentEngine, _worker_execute
+from repro.experiments.engine import (
+    EngineJob,
+    ExperimentEngine,
+    _worker_execute,
+    share_cache_with_worker,
+)
 from repro.obs import get_recorder
 from repro.service import protocol
 from repro.service.budget import (
@@ -187,7 +192,12 @@ class SweepService:
         """Listen, serve until :meth:`request_shutdown`, then tear down."""
         self._loop = asyncio.get_running_loop()
         self._stopping = asyncio.Event()
-        self._pool = ProcessPoolExecutor(max_workers=self.config.workers)
+        cache = self.engine.cache
+        self._pool = ProcessPoolExecutor(
+            max_workers=self.config.workers,
+            initializer=share_cache_with_worker,
+            initargs=(None if cache is None else cache.directory,),
+        )
         if self.config.socket_path:
             self._server = await asyncio.start_unix_server(
                 self._handle_connection, path=self.config.socket_path

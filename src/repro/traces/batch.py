@@ -22,8 +22,6 @@ the default and must work on a numpy-free install.
 
 from __future__ import annotations
 
-import json
-import struct
 from pathlib import Path
 
 from repro.common.errors import ConfigurationError, TraceFormatError
@@ -129,40 +127,27 @@ def read_binary_trace_arrays(path: str | Path) -> tuple[dict, TraceArrays]:
     """
     _require_numpy()
     from repro.obs import get_recorder
-    from repro.traces.binary_io import MAGIC, _RECORD
+    from repro.traces.binary_io import _RECORD, _parse_header
 
     with get_recorder().span("trace.decode", path=str(path), decoder="arrays"):
-        return _read_binary_trace_arrays(path, MAGIC, _RECORD)
-
-
-def _read_binary_trace_arrays(path, MAGIC, _RECORD) -> tuple[dict, "TraceArrays"]:
-    data = Path(path).read_bytes()
-    if data[: len(MAGIC)] != MAGIC:
-        raise TraceFormatError(f"bad magic {data[:len(MAGIC)]!r}; not a repro binary trace")
-    offset = len(MAGIC)
-    (header_len,) = struct.unpack_from("<I", data, offset)
-    offset += 4
-    try:
-        header = json.loads(data[offset : offset + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise TraceFormatError("corrupt trace header") from exc
-    offset += header_len
-    body = data[offset:]
-    if len(body) % _RECORD.size != 0:
-        raise TraceFormatError("truncated trace record")
-    records = np.frombuffer(body, dtype=np.dtype(_RECORD_DTYPE_FIELDS))
-    branch_type = records["branch_type"]
-    if branch_type.size and int(branch_type.max()) >= len(_BRANCH_TYPES):
-        bad = int(branch_type.max())
-        raise TraceFormatError(f"invalid branch type index {bad}")
-    return header, TraceArrays(
-        pc=records["pc"].astype(np.uint64),
-        target=records["target"].astype(np.uint64),
-        size=records["size"].astype(np.int64),
-        branch_type=branch_type.copy(),
-        is_branch=branch_type != 0,
-        taken=records["taken"] != 0,
-    )
+        data = Path(path).read_bytes()
+        header, offset = _parse_header(data)
+        body = data[offset:]
+        if len(body) % _RECORD.size != 0:
+            raise TraceFormatError("truncated trace record")
+        records = np.frombuffer(body, dtype=np.dtype(_RECORD_DTYPE_FIELDS))
+        branch_type = records["branch_type"]
+        if branch_type.size and int(branch_type.max()) >= len(_BRANCH_TYPES):
+            bad = int(branch_type.max())
+            raise TraceFormatError(f"invalid branch type index {bad}")
+        return header, TraceArrays(
+            pc=records["pc"].astype(np.uint64),
+            target=records["target"].astype(np.uint64),
+            size=records["size"].astype(np.int64),
+            branch_type=branch_type.copy(),
+            is_branch=branch_type != 0,
+            taken=records["taken"] != 0,
+        )
 
 
 def fold_xor_array(values, width: int):

@@ -1,20 +1,29 @@
-"""Bounded, thread-safe store of generated traces.
+"""Bounded, thread-safe store of generated traces, backed by the disk cache.
 
 Trace generation is deterministic (every workload spec carries its own seed),
 so a trace is fully described by ``(workload_name, instructions)``.  The store
-memoizes generated traces under that key with LRU eviction, replacing the
-unbounded module-global cache the experiment runner used to keep: a full-scale
-sweep touches dozens of workloads and an unbounded cache holds every one of
-them alive for the whole run.
+memoizes traces under that key with LRU eviction, replacing the unbounded
+module-global cache the experiment runner used to keep: a full-scale sweep
+touches dozens of workloads and an unbounded cache holds every one of them
+alive for the whole run.
+
+Generation is not cheap: on a cold 200k-instruction scenario cell it takes
+longer than simulating the cell on either backend, and it is most of the
+wall time of a rerun whose results all come from the result cache.  So on an in-memory miss the store first
+looks in the trace tier of the active engine's ``--cache-dir`` (see
+:class:`repro.experiments.engine.ResultCache`), keyed by the workload spec,
+the length and :data:`repro.workloads.GENERATOR_VERSION`.  Only when the
+trace is not there does it generate the trace, and then it writes it there.
+Without an active engine with a cache directory the store generates, as it
+always has.
 
 The store is thread-safe (a single lock guards the mapping) and process-local:
-worker processes of the parallel experiment engine each build their own store,
-which is exactly the right sharing granularity because traces are cheap to
-regenerate relative to simulation and never need to cross process boundaries.
+pool workers each keep their own and share traces through the disk tier.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 from collections import OrderedDict
 from typing import Callable, Tuple
@@ -34,8 +43,25 @@ def _build_workload(name: str, instructions: int) -> Trace:
     return build_workload(name, instructions)
 
 
+def _active_cache():
+    """The active engine's on-disk cache, or None.
+
+    No engine can be active before its module is imported, so a process that
+    never imported it (a bare trace-store user) does not import it here.
+    """
+    engine = sys.modules.get("repro.experiments.engine")
+    return None if engine is None else engine.active_cache()
+
+
 class TraceStore:
-    """LRU-bounded memoization of ``(workload, instructions) -> Trace``."""
+    """LRU-bounded memoization of ``(workload, instructions) -> Trace``.
+
+    ``hits``/``misses`` count in-memory lookups; of the misses,
+    ``disk_hits`` were loaded from the disk tier and ``disk_writes`` were
+    generated and written to it; ``corrupt`` counts malformed disk entries
+    (each regenerated and overwritten).  A store with a custom ``builder``
+    never uses the disk tier: its traces are not what the key describes.
+    """
 
     def __init__(
         self,
@@ -51,9 +77,12 @@ class TraceStore:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self.disk_hits = 0
+        self.disk_writes = 0
+        self.corrupt = 0
 
     def get(self, workload: str, instructions: int) -> Trace:
-        """Return the trace of ``workload``, generating it on first use."""
+        """Return the trace of ``workload``, loading or generating it on first use."""
         key = (workload, instructions)
         recorder = get_recorder()
         with self._lock:
@@ -65,12 +94,43 @@ class TraceStore:
                 return trace
             self.misses += 1
             recorder.count("trace.store.misses")
-        # Generate outside the lock: generation is slow and deterministic, so
-        # a duplicate build under contention is wasteful but harmless.
-        with recorder.span("trace.build", workload=workload, instructions=instructions):
-            trace = self._builder(workload, instructions)
+        # Load or generate outside the lock: both are slow and deterministic,
+        # so a duplicate under contention is wasteful but harmless.
+        cache = _active_cache() if self._builder is _build_workload else None
+        if cache is None:
+            trace = self._build(workload, instructions)
+        else:
+            trace = self._load_or_build(cache, workload, instructions)
         self.put(trace, instructions)
         return trace
+
+    def _build(self, workload: str, instructions: int) -> Trace:
+        with get_recorder().span("trace.build", workload=workload, instructions=instructions):
+            return self._builder(workload, instructions)
+
+    def _load_or_build(self, cache, workload: str, instructions: int) -> Trace:
+        from repro.workloads.suites import trace_cache_key
+
+        recorder = get_recorder()
+        key = trace_cache_key(workload, instructions)
+        with recorder.span("trace.load", workload=workload, instructions=instructions):
+            trace = cache.get_trace(key, workload, instructions, on_corrupt=self._count_corrupt)
+        if trace is not None:
+            with self._lock:
+                self.disk_hits += 1
+            recorder.count("trace.store.disk_hits")
+            return trace
+        trace = self._build(workload, instructions)
+        cache.put_trace(key, trace)
+        with self._lock:
+            self.disk_writes += 1
+        recorder.count("trace.store.disk_writes")
+        return trace
+
+    def _count_corrupt(self, path: str) -> None:
+        with self._lock:
+            self.corrupt += 1
+        get_recorder().count("trace.store.corrupt")
 
     def put(self, trace: Trace, instructions: int | None = None) -> None:
         """Insert an already-built trace, evicting the LRU entry if full."""

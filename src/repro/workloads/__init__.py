@@ -26,6 +26,7 @@ from repro.workloads.cfg import BasicBlock, Function, Program, ProgramBuilder, T
 from repro.workloads.execution import TraceGenerator, generate_trace
 from repro.workloads.spec import WorkloadClass, WorkloadSpec
 from repro.workloads.suites import (
+    GENERATOR_VERSION,
     SUITE_NAMES,
     build_suite,
     client_suite,
@@ -45,6 +46,7 @@ __all__ = [
     "generate_trace",
     "WorkloadClass",
     "WorkloadSpec",
+    "GENERATOR_VERSION",
     "SUITE_NAMES",
     "build_suite",
     "client_suite",

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
@@ -438,6 +439,11 @@ class ProgramBuilder:
                     library_functions.append(function)
             elif function.level >= 0:
                 by_module_level.setdefault((function.module, function.level), []).append(function)
+        # Function indices of each pool, ascending (functions are visited in
+        # index order): the neighbour class bisects them for its anchor.
+        self._pool_indices = {
+            key: [function.index for function in pool] for key, pool in by_module_level.items()
+        }
         if not library_functions:
             library_functions = far_library_functions
 
@@ -508,12 +514,13 @@ class ProgramBuilder:
             choices = [m for m in range(spec.num_modules) if m != caller.module]
             module = rng.choice(choices)
         level = rng.choice(deeper_levels)
-        pool = by_module_level.get((module, level)) or by_module_level[(caller.module, level)]
+        key = (module, level) if (module, level) in by_module_level else (caller.module, level)
+        pool = by_module_level[key]
 
         if roll < neighbor_cut and len(pool) > 2:
             # Neighbour class: callee laid out close to the caller, producing
             # short cross-function distances (the 7-12 bit band).
-            anchor = min(range(len(pool)), key=lambda i: abs(pool[i].index - caller.index))
+            anchor = _nearest(self._pool_indices[key], caller.index)
             lo = max(0, anchor - spec.neighbor_window)
             hi = min(len(pool), anchor + spec.neighbor_window + 1)
             return rng.choice(pool[lo:hi]).index
@@ -567,6 +574,19 @@ class ProgramBuilder:
         if self.spec.isa is ISAStyle.ARM64:
             return (4,) * count
         return tuple(self._rng.choice(_X86_SIZES) for _ in range(count))
+
+
+def _nearest(ascending: Sequence[int], value: int) -> int:
+    """Position of the element of ``ascending`` closest to ``value``.
+
+    A tie goes to the lower position, as a ``min`` scan would pick it.
+    """
+    position = bisect_left(ascending, value)
+    if position == len(ascending) or (
+        position and value - ascending[position - 1] <= ascending[position] - value
+    ):
+        return position - 1
+    return position
 
 
 def _align(value: int, alignment: int) -> int:

@@ -16,6 +16,9 @@ traces stress the BTB hardest (Figure 9's right-hand cluster).
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 from typing import Dict, List, Sequence
 
 from repro.common.config import ISAStyle
@@ -172,6 +175,30 @@ def all_workload_names() -> List[str]:
 def build_workload(name: str, instructions: int) -> Trace:
     """Generate the trace of a single named workload."""
     return generate_trace(workload_spec_by_name(name), instructions, name=name)
+
+
+#: Bump when a change to the generator (program synthesis, the trace walk or
+#: a suite's specs) alters any trace it emits: on-disk trace-cache entries
+#: are keyed by this version, so stale traces then miss instead of replaying.
+#: ``tests/golden/trace_digests.json`` fails tier-1 on such a change.
+GENERATOR_VERSION = 1
+
+
+def trace_cache_key(name: str, instructions: int) -> str:
+    """Content hash naming the trace of ``name`` at ``instructions``.
+
+    It covers every field of the workload's spec, the trace length and
+    :data:`GENERATOR_VERSION`, so a retuned preset never replays a stale
+    cached trace.  Unknown names raise :class:`WorkloadError`, as building
+    them does.
+    """
+    spec = dataclasses.asdict(workload_spec_by_name(name))
+    canonical = json.dumps(
+        {"spec": spec, "instructions": instructions, "generator": GENERATOR_VERSION},
+        sort_keys=True,
+        default=lambda member: member.value,  # the spec's enums
+    )
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def selected_workload_names(suite: str, limit: int | None = None) -> List[str]:

@@ -147,6 +147,7 @@ class TestResultCache:
             "memo_hits": 0,
             "disk_hits": len(jobs),
             "instructions_simulated": 0,
+            "cache_corrupt": 0,
         }
         for left, right in zip(warm_outcomes, cold_outcomes):
             assert _result_fields(left) == _result_fields(right)

@@ -93,6 +93,34 @@ class TestBinaryFormat:
         with pytest.raises(TraceFormatError):
             read_binary_trace(path)
 
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda data: data[:10], "truncated trace header"),
+            (lambda data: data[:14], "truncated trace header"),
+            (lambda data: data[:12] + b"{" * (len(data) - 12), "corrupt trace header"),
+            (lambda data: data[:12] + b"[" + data[13:], "corrupt trace header"),
+            (lambda data: data[:-20] + bytes(16) + b"\x04\xff" + data[-2:], "branch type index 255"),
+            (lambda data: data + data[-20:], "header declares"),
+        ],
+        ids=["short-prefix", "short-header", "bad-json", "non-object", "branch-type", "count"],
+    )
+    def test_every_format_check_raises_trace_format_error(self, tmp_path, damage, message):
+        trace = _tiny_trace()
+        path = tmp_path / "t.btbx"
+        write_binary_trace(trace, path)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(TraceFormatError, match=message):
+            read_binary_trace(path)
+
+    def test_identical_records_share_one_instruction(self, tmp_path):
+        inst = Instruction.branch(0x1000, BranchType.CONDITIONAL, True, 0x1040)
+        path = tmp_path / "t.btbx"
+        write_binary_trace(Trace("loop", [inst, Instruction(pc=0x1040), inst]), path)
+        loaded = read_binary_trace(path)
+        assert list(loaded) == [inst, Instruction(pc=0x1040), inst]
+        assert loaded[0] is loaded[2]
+
     def test_write_many(self, tmp_path):
         paths = write_many([_tiny_trace()], tmp_path / "suite")
         assert len(paths) == 1
